@@ -24,6 +24,19 @@ run twice. In-flight RPCs against a dead shard fail over to the fresh
 incarnation and are retried once; submissions are idempotent, so the
 retry is safe.
 
+**Waiting.** ``wait()`` blocks without polling. Every shard incarnation
+gets a second, one-way pipe on which the shard pushes each job line the
+moment the job turns terminal, and a listener thread per incarnation
+drains it into a condition variable. A waiter registers its job id
+*before* its first ``job`` RPC — so a push cannot slip past between the
+check and the block — and then blocks until the pushed line arrives,
+its deadline passes, or the shard's *epoch* moves. The epoch is bumped
+whenever an incarnation ends (event-pipe EOF, or a respawn), and every
+waiter then re-checks with one ``job`` RPC: that covers a push lost to
+a SIGKILL, and lets :meth:`stop` release blocked long-polls at once.
+Pushed lines are kept only for ids with a live waiter, so the
+bookkeeping is bounded by the number of waiters.
+
 **Aggregation.** ``stats()``/``health()`` merge per-shard views and add
 coordinator-level facts (pids, restart counts, routing table), which is
 what ``GET /stats`` and ``GET /health`` serve.
@@ -87,7 +100,7 @@ def pick_context() -> mp.context.BaseContext:
 
 
 class _Shard:
-    """Coordinator-side handle: process + pipe + lock + lifecycle stats."""
+    """Coordinator-side handle: process + pipes + lock + lifecycle stats."""
 
     def __init__(self, config: ShardConfig) -> None:
         self.config = config
@@ -96,6 +109,11 @@ class _Shard:
         self.lock = threading.Lock()
         self.restarts = 0
         self.pid: Optional[int] = None
+        #: Drains the current incarnation's terminal-event pipe.
+        self.listener: Optional[threading.Thread] = None
+        #: Bumped (under the coordinator's ``_events``) each time an
+        #: incarnation ends; waiters re-check their job when it moves.
+        self.epoch = 0
 
     @property
     def alive(self) -> bool:
@@ -161,6 +179,13 @@ class ShardCoordinator:
                 telemetry=telemetry,
             )))
         self._stopping = threading.Event()
+        #: Guards the waiter bookkeeping and every shard's ``epoch``;
+        #: notified on each kept push and each epoch bump.
+        self._events = threading.Condition()
+        #: job id -> number of threads blocked in :meth:`wait` on it.
+        self._waiters: Dict[str, int] = {}
+        #: job id -> its pushed terminal line, kept while it has waiters.
+        self._pushed: Dict[str, Dict[str, Any]] = {}
         self._monitor: Optional[threading.Thread] = None
         self._started = False
         self._tracer_ctx: Optional[Any] = None
@@ -205,32 +230,62 @@ class ShardCoordinator:
         sees all pre-crash state.
         """
         parent_conn, child_conn = self._ctx.Pipe()
+        events_in, events_out = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
-            target=shard_main, args=(shard.config, child_conn),
+            target=shard_main, args=(shard.config, child_conn, events_out),
             name=f"repro-shard-{shard.config.index}", daemon=True)
         process.start()
         child_conn.close()
+        events_out.close()
         deadline = time.monotonic() + SPAWN_DEADLINE
-        while not parent_conn.poll(RPC_SLICE):
-            if time.monotonic() > deadline or not process.is_alive():
-                with contextlib.suppress(Exception):
-                    process.terminate()
-                raise ShardError(
-                    f"shard {shard.config.index} failed to come up "
-                    f"({reason}); journal {shard.config.journal}")
         try:
-            hello = parent_conn.recv()
-        except (EOFError, OSError) as exc:
+            while not parent_conn.poll(RPC_SLICE):
+                if time.monotonic() > deadline or not process.is_alive():
+                    raise ShardError(
+                        f"shard {shard.config.index} failed to come up "
+                        f"({reason}); journal {shard.config.journal}")
+            try:
+                hello = parent_conn.recv()
+            except (EOFError, OSError) as exc:
+                raise ShardError(
+                    f"shard {shard.config.index} died during startup "
+                    f"({reason}); journal {shard.config.journal}") from exc
+        except ShardError:
             with contextlib.suppress(Exception):
                 process.terminate()
-            raise ShardError(
-                f"shard {shard.config.index} died during startup "
-                f"({reason}); journal {shard.config.journal}") from exc
+            events_in.close()
+            raise
         shard.process = process
         shard.conn = parent_conn
         shard.pid = hello.get("pid")
+        shard.listener = threading.Thread(
+            target=self._listen, args=(shard, events_in),
+            name=f"shard-{shard.config.index}-events", daemon=True)
+        shard.listener.start()
         obs_event("shard_up", shard=shard.config.index, pid=shard.pid,
                   reason=reason, replayed=hello.get("replayed", 0))
+
+    def _listen(self, shard: _Shard, events: Any) -> None:
+        """Listener thread for one incarnation: pushed lines to waiters."""
+        try:
+            while True:
+                line = events.recv()
+                with self._events:
+                    if line["id"] in self._waiters:
+                        line["shard"] = shard.config.index
+                        self._pushed[line["id"]] = line
+                        self._events.notify_all()
+        except (EOFError, OSError):
+            pass  # the incarnation is gone
+        finally:
+            events.close()
+            self._end_epoch(shard)
+
+    def _end_epoch(self, shard: _Shard) -> None:
+        """Wake every waiter on ``shard`` to re-check its job."""
+        with self._events:
+            shard.epoch += 1
+            self._events.notify_all()
 
     def _watch(self) -> None:
         """Monitor thread: respawn dead shards, pump telemetry batches."""
@@ -292,6 +347,7 @@ class ShardCoordinator:
             with contextlib.suppress(Exception):
                 shard.conn.close()
         self._spawn(shard, reason="crash")
+        self._end_epoch(shard)
         obs_event("shard_restarted", shard=shard.config.index,
                   pid=shard.pid, restarts=shard.restarts)
 
@@ -334,6 +390,8 @@ class ShardCoordinator:
                 if shard.conn is not None:
                     with contextlib.suppress(Exception):
                         shard.conn.close()
+                if shard.listener is not None:
+                    shard.listener.join(timeout=5.0)
                 summaries["shards"][str(shard.config.index)] = summary
         if self.trace_dir is not None and self.telemetry and was_started:
             # One merged artifact next to the per-shard traces: the
@@ -508,19 +566,46 @@ class ShardCoordinator:
 
     def wait(self, job_id: str,
              timeout: Optional[float] = None) -> Dict[str, Any]:
-        """Poll a job until terminal; returns its final line.
+        """Block until a job is terminal; returns its line.
 
+        On timeout, returns the job's current (non-terminal) line.
         Long-polling lives here, coordinator-side, so the shard RPC
-        loop never blocks on one caller's patience.
+        loop never blocks on one caller's patience: the shard pushes
+        the terminal line, and a respawn or shutdown of the shard
+        (an epoch bump) triggers one re-check RPC.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            job = self.job(job_id)
-            if job["state"] in TERMINAL_STATES:
-                return job
-            if deadline is not None and time.monotonic() >= deadline:
-                return job
-            time.sleep(0.05)
+        shard = self._shards[self.route(job_id)]
+        with self._events:
+            # Registered before the first RPC, so a push that lands
+            # between that RPC and the block below is kept, not lost.
+            self._waiters[job_id] = self._waiters.get(job_id, 0) + 1
+        try:
+            while True:
+                with self._events:
+                    epoch = shard.epoch
+                job = self.job(job_id)
+                if job["state"] in TERMINAL_STATES:
+                    return job
+                remaining = None if deadline is None \
+                    else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return job
+                with self._events:
+                    self._events.wait_for(
+                        lambda: job_id in self._pushed
+                        or shard.epoch != epoch, remaining)
+                    pushed = self._pushed.get(job_id)
+                if pushed is not None:
+                    return dict(pushed)
+        finally:
+            with self._events:
+                left = self._waiters[job_id] - 1
+                if left:
+                    self._waiters[job_id] = left
+                else:
+                    del self._waiters[job_id]
+                    self._pushed.pop(job_id, None)
 
     #: Numeric per-shard stats that are meaningful summed.
     _SUMMED = ("queue_depth", "in_flight", "shed", "worker_crashes")

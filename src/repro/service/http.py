@@ -37,10 +37,13 @@ into a reproduction repo:
 ========================  ============================================
 
 Requests are served by :class:`ThreadingHTTPServer` — one thread per
-connection, which is fine because handlers only do pipe RPCs and
-sleeps; the coordinator's per-shard locks serialize actual shard
-traffic. Long-polling happens here (coordinator ``wait``), never
-inside a shard, so a slow client cannot stall a shard's RPC loop.
+connection, which is fine because handlers only do pipe RPCs and block
+on the coordinator's waiter condition; the coordinator's per-shard
+locks serialize actual shard traffic. Long-polling happens here
+(coordinator ``wait``), never inside a shard, so a slow client cannot
+stall a shard's RPC loop: the handler makes one ``job`` RPC, then
+blocks on a condition until the shard pushes the job's terminal line
+over its event pipe (or the wait expires, or the shard restarts).
 """
 
 from __future__ import annotations

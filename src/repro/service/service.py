@@ -44,7 +44,7 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.spec import SwitchSpec
 from repro.core.synthesizer import SynthesisOptions, synthesize
@@ -152,6 +152,11 @@ class SynthesisService:
         self._lock = threading.RLock()
         self._terminal = threading.Condition(self._lock)
         self._in_flight = 0
+        #: Called with a job's line each time the job turns terminal,
+        #: after the service lock is released by ``_transition`` (an
+        #: outer frame may still hold it, so the hook must not block).
+        #: A shard uses it to push the line to its coordinator.
+        self.on_terminal: Optional[Callable[[Dict[str, Any]], None]] = None
         self._state = "created"
         self._shutdown_requested = threading.Event()
         self.shutdown_signal: Optional[int] = None
@@ -427,19 +432,11 @@ class SynthesisService:
         end = None if deadline is None else time.monotonic() + deadline
         completed = 0
         if drain in (True, "all"):
-            while self.outstanding() > 0 and \
-                    (end is None or time.monotonic() < end):
-                time.sleep(0.02)
+            self._wait_until(lambda: self.outstanding() == 0, end)
         self.queue.close()
         leftovers = self.queue.drain()
         if drain == "inflight":
-            while True:
-                with self._lock:
-                    busy = self._in_flight
-                if busy == 0 or (end is not None
-                                 and time.monotonic() >= end):
-                    break
-                time.sleep(0.02)
+            self._wait_until(lambda: self._in_flight == 0, end)
         join_timeout = 5.0 if end is None \
             else max(0.1, end - time.monotonic())
         self._supervisor.stop(timeout=join_timeout)
@@ -453,6 +450,20 @@ class SynthesisService:
             self._journal.close()
         self._sync_gauges()
         return {"completed": completed, "pending": pending}
+
+    def _wait_until(self, done: Callable[[], bool],
+                    end: Optional[float]) -> None:
+        """Block on ``_terminal`` until ``done()`` or the ``end`` time.
+
+        Every terminal transition and every worker finishing a job
+        notifies the condition, so the drain wakes on the event itself.
+        """
+        with self._terminal:
+            while not done():
+                remaining = None if end is None else end - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return
+                self._terminal.wait(remaining)
 
     # -- worker body -----------------------------------------------------
     def _work(self, worker_id: int) -> bool:
@@ -479,8 +490,9 @@ class SynthesisService:
             self._rescue_crashed(job, exc)
             raise
         finally:
-            with self._lock:
+            with self._terminal:
                 self._in_flight -= 1
+                self._terminal.notify_all()
             self._sync_gauges()
         return True
 
@@ -645,6 +657,7 @@ class SynthesisService:
     def _transition(self, job: JobRecord, state: str, attempts: int,
                     row: Optional[Dict[str, Any]] = None,
                     error: Optional[str] = None) -> None:
+        line = None
         with self._terminal:
             if self._journal is not None:
                 self._journal.record_state(job.id, state, attempts,
@@ -658,6 +671,10 @@ class SynthesisService:
                     job.error = error
             if state in TERMINAL_STATES:
                 self._terminal.notify_all()
+                if self.on_terminal is not None:
+                    line = job.to_line()
+        if line is not None:
+            self.on_terminal(line)
 
     # -- observability ---------------------------------------------------
     def _counter(self, name: str, amount: int = 1) -> None:

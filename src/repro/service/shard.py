@@ -29,6 +29,21 @@ stop       ``{"drain", "deadline"?}`` → ``{"ok": True, "summary",
            carrying its final telemetry batch; it then exits)
 =========  =======================================================
 
+A second, one-way pipe carries pushes in the other direction:
+
+=========  =======================================================
+pipe       shard → coordinator, never answered
+=========  =======================================================
+events     one ``<job line>`` per terminal transition, sent the
+           moment a job turns ``done``/``degraded``/``failed``; the
+           coordinator wakes that job's waiters on it. EOF means the
+           incarnation is gone.
+=========  =======================================================
+
+The service's terminal hook only enqueues the line; a sender thread
+does the pipe write, so a slow reader can stall neither the service's
+workers (which hold its lock while transitioning) nor the RPC loop.
+
 Every payload may carry a ``_clock`` key — the coordinator's logical
 clock, witnessed by the shard's tracer so merged cross-process traces
 order causally-related records consistently (see
@@ -52,7 +67,9 @@ from __future__ import annotations
 import contextlib
 import multiprocessing as mp
 import os
+import queue
 import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -141,8 +158,24 @@ def _handle(service, verb: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     raise ReproError(f"unknown shard RPC verb {verb!r}")
 
 
-def shard_main(config: ShardConfig, conn) -> None:
-    """Child-process entry point: serve RPCs until ``stop`` or EOF."""
+def _push_terminal(outbox: "queue.SimpleQueue", events) -> None:
+    """Sender thread: forward terminal job lines until the None sentinel."""
+    while True:
+        line = outbox.get()
+        if line is None:
+            return
+        try:
+            events.send(line)
+        except (BrokenPipeError, OSError):
+            return  # coordinator gone; the journal keeps the outcome
+
+
+def shard_main(config: ShardConfig, conn, events) -> None:
+    """Child-process entry point: serve RPCs until ``stop`` or EOF.
+
+    ``conn`` is the request/response pipe; ``events`` is the write end
+    of the one-way terminal-event pipe.
+    """
     # The coordinator owns signal-driven shutdown and talks to shards
     # over the pipe; a terminal Ctrl-C is delivered to the whole
     # foreground process group, and a shard that died on it would turn
@@ -178,6 +211,12 @@ def shard_main(config: ShardConfig, conn) -> None:
         if tracer is not None:
             stack.enter_context(use_tracer(tracer))
         service = build_service(config)
+        outbox: "queue.SimpleQueue" = queue.SimpleQueue()
+        service.on_terminal = outbox.put
+        sender = threading.Thread(target=_push_terminal,
+                                  args=(outbox, events),
+                                  name="shard-events", daemon=True)
+        sender.start()
         service.start()
         conn.send({"ok": True, "up": True, "pid": os.getpid(),
                    "index": config.index,
@@ -235,6 +274,9 @@ def shard_main(config: ShardConfig, conn) -> None:
                 # worker, journal the rest for the next incarnation.
                 with contextlib.suppress(Exception):
                     service.stop(drain="inflight", deadline=10.0)
+            outbox.put(None)
+            sender.join(timeout=5.0)
+            events.close()
             if tracer is not None and config.trace:
                 from repro.obs import write_trace_jsonl
 

@@ -7,9 +7,12 @@ suite's cost is process startup, not solving.
 """
 
 import json
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -229,6 +232,120 @@ def test_http_long_poll_returns_terminal_state(tmp_path):
             final = fetch_job(server.url, job["id"], wait=30)
             assert final["state"] == "done"
             assert final["row"]["case"] == spec.name
+
+
+# ----------------------------------------------------------------------
+# push-based wait: terminal lines arrive on the shard's event pipe
+# ----------------------------------------------------------------------
+LONG_OPTS = {"time_limit": 1}
+
+
+def long_spec():
+    """A 12-pin UNFIXED case that holds its worker for about 1.5 s."""
+    return generate_case(seed=1, switch_size=12, n_flows=4, n_inlets=3,
+                         n_conflicts=2, binding=BindingPolicy.UNFIXED)
+
+
+def count_job_rpcs(coord):
+    """Wrap the coordinator's RPC helper; returns the live counter."""
+    counts = {"job": 0}
+    call = coord._call
+
+    def counting(index, verb, payload):
+        if verb == "job":
+            counts["job"] += 1
+        return call(index, verb, payload)
+
+    coord._call = counting
+    return counts
+
+
+def assert_no_waiters(coord):
+    assert coord._waiters == {}
+    assert coord._pushed == {}
+
+
+def test_wait_is_woken_by_push_not_polling(tmp_path):
+    with platform(tmp_path, shards=1, options=LONG_OPTS) as coord:
+        job = coord.submit(spec_to_dict(long_spec()))
+        counts = count_job_rpcs(coord)
+        start = time.monotonic()
+        final = coord.wait(job["id"], timeout=120)
+        assert final["state"] in ("done", "degraded", "failed")
+        assert time.monotonic() - start >= 0.5  # it really was running
+        # one RPC to register, then the push answers: polling every
+        # 50 ms would make about 20 RPCs per second of solve
+        assert counts["job"] <= 2, counts
+        assert final == coord.job(job["id"])  # same JSON as a GET
+        assert_no_waiters(coord)
+
+
+def test_wait_survives_sigkill_of_the_jobs_shard(tmp_path):
+    with platform(tmp_path, shards=1, options=LONG_OPTS) as coord:
+        job = coord.submit(spec_to_dict(long_spec()))
+        out = {}
+
+        def waiter():
+            start = time.monotonic()
+            out["line"] = coord.wait(job["id"], timeout=120)
+            out["elapsed"] = time.monotonic() - start
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        time.sleep(0.5)  # the waiter is blocked, the job is running
+        assert coord.kill_shard(0) is not None
+        thread.join(timeout=90)
+        assert not thread.is_alive(), "waiter never woke after the kill"
+        assert out["line"]["state"] in ("done", "degraded", "failed")
+        assert out["elapsed"] < 60
+        assert coord.stats()["restarts"] >= 1
+        assert_no_waiters(coord)
+
+
+def test_wait_timeout_returns_current_line_and_cleans_up(tmp_path):
+    with platform(tmp_path, shards=1, options=LONG_OPTS) as coord:
+        job = coord.submit(spec_to_dict(long_spec()))
+        start = time.monotonic()
+        line = coord.wait(job["id"], timeout=0.3)
+        assert time.monotonic() - start >= 0.3
+        assert line["state"] not in ("done", "degraded", "failed")
+        assert line["id"] == job["id"] and line["shard"] == 0
+        assert_no_waiters(coord)
+        coord.wait(job["id"], timeout=120)
+        assert_no_waiters(coord)
+
+
+def test_two_waiters_on_one_job_both_get_the_terminal_line(tmp_path):
+    with platform(tmp_path, shards=1, options=LONG_OPTS) as coord:
+        job = coord.submit(spec_to_dict(long_spec()))
+        with ThreadPoolExecutor(2) as pool:
+            lines = list(pool.map(
+                lambda _: coord.wait(job["id"], timeout=120), range(2)))
+        assert all(line["state"] in ("done", "degraded", "failed")
+                   for line in lines)
+        assert lines[0] == lines[1]
+        assert_no_waiters(coord)
+
+
+def test_many_waiters_under_fast_thread_switching(tmp_path):
+    """Stress the register/check/block race: 18 waiter threads over 6
+    jobs on 2 shards, with the interpreter switching threads every
+    10 us. A lost wakeup leaves a waiter holding a non-terminal line
+    at its timeout; a bookkeeping race leaves an entry behind."""
+    specs = [small_spec(s) for s in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with platform(tmp_path) as coord:
+            ids = [coord.submit(spec_to_dict(s))["id"] for s in specs]
+            with ThreadPoolExecutor(len(ids) * 3) as pool:
+                lines = list(pool.map(
+                    lambda i: coord.wait(i, timeout=60), ids * 3))
+            assert [line["id"] for line in lines] == ids * 3
+            assert all(line["state"] == "done" for line in lines)
+            assert_no_waiters(coord)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_coordinator_surfaces_admission_error_directly(tmp_path):
