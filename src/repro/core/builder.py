@@ -6,7 +6,8 @@ plus a pre-enumerated :class:`~repro.switches.paths.PathCatalog` into a
 
 * path assignment — eqs. (3.1)–(3.2);
 * module-to-pin binding and its coupling to path endpoints —
-  eqs. (3.9)–(3.13);
+  eqs. (3.9)–(3.13), with the clockwise order also stated as pin
+  domains, an offset filter on candidate paths and window rows;
 * contamination avoidance — eq. (3.3);
 * flow scheduling — eqs. (3.4)–(3.6) (the K/k/q′ counters), plus the
   indicator side ``k ≤ (1 − q′)·N`` the construction needs to be sound;
@@ -74,6 +75,10 @@ class SynthesisModelBuilder:
         self.spec = spec
         self.catalog = catalog
         self.switch = spec.switch
+        #: module -> pins it may occupy; None unless the policy is CLOCKWISE.
+        self._domain: Optional[Dict[str, FrozenSet[str]]] = None
+        if spec.binding is BindingPolicy.CLOCKWISE:
+            self._domain = self._clockwise_pin_domains()
 
     # ------------------------------------------------------------------
     def build(self) -> BuiltModel:
@@ -148,6 +153,8 @@ class SynthesisModelBuilder:
                     raise SpecError(
                         f"{f}: no candidate path between pins {src_pin} and {dst_pin}"
                     )
+            elif self._domain is not None:
+                paths = self._clockwise_paths(f)
             else:
                 paths = list(self.catalog)
             allowed[f.id] = paths
@@ -167,7 +174,9 @@ class SynthesisModelBuilder:
         y = {}
         for m in self.spec.modules:
             for p in self.switch.pins:
-                y[(m, p)] = model.add_binary(f"y_{m}_{p}")
+                # A pin outside the module's clockwise domain is fixed to 0.
+                ub = 1 if self._in_domain(m, p) else 0
+                y[(m, p)] = model.add_binary(f"y_{m}_{p}", ub=ub)
         return y
 
     def _usage_vars(self, model: Model, x, allowed, sites) -> Dict[Tuple[int, Site], Var]:
@@ -279,11 +288,16 @@ class SynthesisModelBuilder:
             for p in allowed[f.id]:
                 starts.setdefault(p.source_pin, []).append(x[(f.id, p.index)])
                 ends.setdefault(p.target_pin, []).append(x[(f.id, p.index)])
+            # Outside a module's domain both sides are 0: no row needed.
             for pin in self.switch.pins:
-                s_expr = quicksum(starts.get(pin, []))
-                model.add_constr(s_expr == y[(f.source, pin)], f"srcpin_f{f.id}_{pin}")
-                e_expr = quicksum(ends.get(pin, []))
-                model.add_constr(e_expr == y[(f.target, pin)], f"dstpin_f{f.id}_{pin}")
+                if self._in_domain(f.source, pin):
+                    s_expr = quicksum(starts.get(pin, []))
+                    model.add_constr(s_expr == y[(f.source, pin)],
+                                     f"srcpin_f{f.id}_{pin}")
+                if self._in_domain(f.target, pin):
+                    e_expr = quicksum(ends.get(pin, []))
+                    model.add_constr(e_expr == y[(f.target, pin)],
+                                     f"dstpin_f{f.id}_{pin}")
 
     def _contamination_constraints(self, model: Model, a, sites) -> None:
         spec = self.spec
@@ -479,10 +493,9 @@ class SynthesisModelBuilder:
         cost; restricting the first module to one fundamental arc of
         pins removes those duplicates without losing any optimum.
         """
-        rot = self.switch.rotation_order
-        if rot <= 1 or not self.spec.modules:
+        arc = self._symmetry_arc()
+        if arc == self.switch.n_pins:
             return
-        arc = self.switch.n_pins // rot
         first = self.spec.modules[0]
         model.add_constr(
             quicksum(
@@ -526,9 +539,85 @@ class SynthesisModelBuilder:
                     pin_vars[m_a] <= pin_vars[m_b] - 1 + q_vars[m_a] * n,
                     f"cw_{m_a}",
                 )
+            # Window rows: a module on pin i has its successor within
+            # offsets(a, b) clockwise steps of i. They do not force a
+            # winding number of 1 on their own, so (3.12)-(3.13) stay.
+            pins = self.switch.pins
+            for idx, m_a in enumerate(order):
+                m_b = order[(idx + 1) % len(order)]
+                offsets = self._clockwise_offsets(m_a, m_b)
+                for i, pin in enumerate(pins):
+                    if not self._in_domain(m_a, pin):
+                        continue
+                    window = [pins[(i + o) % n] for o in offsets]
+                    model.add_constr(
+                        y[(m_a, pin)] <= quicksum(
+                            y[(m_b, p)] for p in window if self._in_domain(m_b, p)),
+                        f"cwwin_{m_a}_{pin}",
+                    )
         model.add_constr(quicksum(q_vars.values()) == 1, "cw_wrap")
         built.pin_index_var = pin_vars
         built.wrap_q = q_vars
+
+    # ------------------------------------------------------------------
+    # clockwise reductions
+    # ------------------------------------------------------------------
+    def _symmetry_arc(self) -> int:
+        """Pins the first module may take under ``rot_symmetry``."""
+        rot = self.switch.rotation_order
+        if rot <= 1 or not self.spec.modules:
+            return self.switch.n_pins
+        return self.switch.n_pins // rot
+
+    def _clockwise_offsets(self, a: str, b: str) -> range:
+        """Clockwise pin steps from ``a``'s pin to ``b``'s in any binding
+        that follows ``module_order``.
+
+        With Δ = (pos(b) − pos(a)) mod n, the Δ − 1 modules after ``a``
+        sit on distinct pins before ``b``, and the n − Δ − 1 modules
+        after ``b`` on distinct pins before ``a``: the offset lies in
+        [Δ, N − n + Δ].
+        """
+        order = self.spec.module_order
+        assert order is not None
+        n = len(order)
+        delta = (order.index(b) - order.index(a)) % n
+        return range(delta, self.switch.n_pins - n + delta + 1)
+
+    def _clockwise_pin_domains(self) -> Dict[str, FrozenSet[str]]:
+        """Pins each module can occupy in a clockwise binding.
+
+        ``rot_symmetry`` puts the first module on a pin p0 within the
+        fundamental arc; every other module sits a clockwise offset from
+        ``offsets(first, m)`` past p0. Each domain is therefore a
+        superset of the module's pin in every feasible binding.
+        """
+        pins = self.switch.pins
+        first = self.spec.modules[0]
+        starts = range(self._symmetry_arc())
+        domains: Dict[str, FrozenSet[str]] = {}
+        for m in self.spec.modules:
+            offsets = range(1) if m == first else self._clockwise_offsets(first, m)
+            domains[m] = frozenset(
+                pins[(s + o) % len(pins)] for s in starts for o in offsets)
+        return domains
+
+    def _in_domain(self, module: str, pin: str) -> bool:
+        return self._domain is None or pin in self._domain[module]
+
+    def _clockwise_paths(self, f: Flow) -> List[Path]:
+        """Catalog paths whose endpoints a clockwise binding can realize:
+        both pins in their module's domain, at an allowed offset."""
+        n = self.switch.n_pins
+        offsets = self._clockwise_offsets(f.source, f.target)
+        src_dom = self._domain[f.source]
+        dst_dom = self._domain[f.target]
+        index = {pin: i for i, pin in enumerate(self.switch.pins)}
+        return [
+            p for p in self.catalog
+            if p.source_pin in src_dom and p.target_pin in dst_dom
+            and (index[p.target_pin] - index[p.source_pin]) % n in offsets
+        ]
 
     def _objective(self, model: Model, built: BuiltModel) -> None:
         spec = self.spec

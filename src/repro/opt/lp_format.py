@@ -78,13 +78,14 @@ def model_to_lp(model: Model) -> str:
     binaries: List[str] = []
     for var in model.variables:
         name = _sanitize(var.name)
-        if var.vtype is VarType.BINARY:
+        # A binary fixed by its bounds is written as a bounded general.
+        if var.vtype is VarType.BINARY and (var.lb, var.ub) == (0, 1):
             binaries.append(name)
             continue
         lo = "-inf" if math.isinf(var.lb) else f"{var.lb:.12g}"
         hi = "+inf" if math.isinf(var.ub) else f"{var.ub:.12g}"
         bounds.append(f" {lo} <= {name} <= {hi}")
-        if var.vtype is VarType.INTEGER:
+        if var.vtype is not VarType.CONTINUOUS:
             generals.append(name)
     # helper constants used above
     bounds.append(" __zero__ = 0")

@@ -74,13 +74,14 @@ class Model:
     ) -> Var:
         """Create and register a new decision variable.
 
-        ``ub=None`` means 1 for binaries and +inf otherwise. Variable
-        names must be unique within the model.
+        ``ub=None`` means 1 for binaries and +inf otherwise; a binary's
+        lower bound is always 0. Variable names must be unique within
+        the model.
         """
         if name in self._names:
             raise ModelError(f"duplicate variable name {name!r}")
         if vtype is VarType.BINARY:
-            lb, ub = 0, 1
+            lb, ub = 0, (1 if ub is None else ub)
         elif ub is None:
             ub = float("inf")
         var = Var(name, vtype, lb, ub, index=len(self.variables), model_id=self._id)
@@ -89,9 +90,10 @@ class Model:
         self._version += 1
         return var
 
-    def add_binary(self, name: str) -> Var:
-        """Shorthand for :meth:`add_var` with a binary domain."""
-        return self.add_var(name, VarType.BINARY)
+    def add_binary(self, name: str, ub: int = 1) -> Var:
+        """Shorthand for :meth:`add_var` with a binary domain
+        (``ub=0`` fixes it to 0)."""
+        return self.add_var(name, VarType.BINARY, 0, ub)
 
     def add_integer(self, name: str, lb: float = 0.0, ub: Optional[float] = None) -> Var:
         """Shorthand for :meth:`add_var` with an integer domain."""
@@ -364,14 +366,17 @@ class Model:
         """Validate a user assignment and package it for the backends.
 
         Returns None (warm start silently dropped) when the assignment
-        is incomplete or violates any constraint — a bad warm start
-        must never be able to corrupt an exact search. Linearization
-        product variables are completed from their factors.
+        is incomplete or violates any bound or constraint — a bad warm
+        start must never be able to corrupt an exact search.
+        Linearization product variables are completed from their
+        factors.
         """
         from repro.opt.incremental import WarmStart
 
         values = dict(warm_start)
         if any(v not in values for v in self.variables):
+            return None
+        if any(not v.lb - 1e-6 <= values[v] <= v.ub + 1e-6 for v in self.variables):
             return None
         if self.check_assignment(values, tol=1e-6):
             return None

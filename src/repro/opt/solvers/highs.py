@@ -111,11 +111,11 @@ class HighsBackend(SolverBackend):
     def _interpret(self, res, model: Model, sign: float, obj_const: float) -> Solution:
         # scipy milp status codes: 0 optimal, 1 iteration/time limit,
         # 2 infeasible, 3 unbounded, 4 other.
+        gap = float(res.mip_gap) if getattr(res, "mip_gap", None) is not None else None
         if res.status == 0 and res.x is not None:
             values = self._rounded_values(model, res.x)
             # res.fun is the (possibly sign-flipped) minimization value.
             objective = sign * float(res.fun) + obj_const
-            gap = float(res.mip_gap) if getattr(res, "mip_gap", None) is not None else None
             return Solution(SolveStatus.OPTIMAL, objective, values, solver=self.name, gap=gap)
         if res.status == 1:
             if res.x is not None:
@@ -123,7 +123,7 @@ class HighsBackend(SolverBackend):
                 objective = sign * float(res.fun) + obj_const
                 return Solution(
                     SolveStatus.FEASIBLE, objective, values, solver=self.name,
-                    message="time limit reached with incumbent",
+                    message="time limit reached with incumbent", gap=gap,
                 )
             return Solution(SolveStatus.TIME_LIMIT, solver=self.name, message=res.message)
         if res.status == 2:

@@ -73,6 +73,17 @@ def test_unbounded_integer_bounds():
     assert "0 <= free <= +inf" in text
 
 
+def test_binary_fixed_by_bound_keeps_its_bound():
+    m = Model()
+    m.add_binary("free_bin")
+    m.add_binary("off", ub=0)
+    text = model_to_lp(m)
+    assert "0 <= off <= 0" in text
+    generals = text.split("Generals")[1].split("Binaries")[0]
+    assert "off" in generals and "free_bin" not in generals
+    assert "free_bin" in text.split("Binaries")[1]
+
+
 def test_write_lp(tmp_path):
     m, _ = small_model()
     path = tmp_path / "model.lp"

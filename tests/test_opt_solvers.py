@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ModelError, SolverError
 from repro.opt import Model, SolveStatus, VarType, quicksum
 from repro.opt.solvers import available_backends, get_backend
+from repro.opt.solvers.highs import HighsBackend
 
 BACKENDS = ["highs", "branch_bound", "backtrack"]
 
@@ -111,6 +113,31 @@ def test_time_limit_returns_promptly():
     sol = m.solve(backend="branch_bound", time_limit=0.05)
     assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE,
                           SolveStatus.TIME_LIMIT)
+
+
+def test_highs_time_limit_incumbent_carries_gap():
+    """A time-limited HiGHS solve with an incumbent reports its gap."""
+    m, _ = knapsack_model()
+    # scipy's milp result for a maximization stopped at the time limit:
+    # status 1, minimized (negated) objective, and the relative gap.
+    res = SimpleNamespace(status=1, x=[0.0, 1.0, 1.0, 1.0], fun=-12.0,
+                          mip_gap=0.25, message="Time limit reached.")
+    sol = HighsBackend()._interpret(res, m, sign=-1.0, obj_const=0.0)
+    assert sol.status is SolveStatus.FEASIBLE
+    assert sol.objective == pytest.approx(12)
+    assert sol.gap == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_binary_upper_bound_zero_respected(backend):
+    m, xs = knapsack_model()
+    fixed = m.add_binary("fixed", ub=0)
+    m.add_constr(xs[0] + fixed <= 1)
+    m.set_objective(m.objective + 10 * fixed, "max")
+    sol = m.solve(backend=backend)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.value(fixed) == 0
+    assert sol.objective == pytest.approx(12)
 
 
 def _random_model(seed: int):

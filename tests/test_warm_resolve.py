@@ -130,7 +130,10 @@ def test_warm_start_rejected_when_infeasible_or_incomplete():
     assert m._build_warm_start({x: 1.0, y: 1.0}, None) is None
     # Incomplete: silently dropped.
     assert m._build_warm_start({x: 1.0}, None) is None
-    ws = m._build_warm_start({x: 0.0, y: 1.0}, None)
+    # Breaks a variable bound the rows never mention: silently dropped.
+    z = m.add_binary("z", ub=0)
+    assert m._build_warm_start({x: 0.0, y: 1.0, z: 1.0}, None) is None
+    ws = m._build_warm_start({x: 0.0, y: 1.0, z: 0.0}, None)
     assert isinstance(ws, WarmStart)
     assert ws.objective == 0.0
 
