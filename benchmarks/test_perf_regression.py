@@ -17,14 +17,10 @@ micro-benchmark job runs exactly this file.
 
 from __future__ import annotations
 
-import os
 import platform
-import random
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
-
-import pytest
 
 from repro.cases import chip_sw1, generate_case
 from repro.core import BindingPolicy, SynthesisOptions, synthesize
@@ -113,80 +109,6 @@ def _compile_cache_record() -> Dict[str, object]:
     return best
 
 
-#: Worker counts for the parallel branch-and-bound speedup curve.
-SPEEDUP_WORKER_COUNTS = (1, 2, 4)
-SPEEDUP_REPEATS = 3
-#: Minimum 4-worker speedup gated in CI (only on machines with >=4 cores).
-SPEEDUP_FLOOR = 2.0
-
-_SPEEDUP_RECORD: Optional[Dict[str, object]] = None
-
-
-def _mkp_model(seed: int, n: int = 18, rows: int = 4,
-               tightness: float = 0.45) -> Model:
-    """Multi-dimensional knapsack with a fractional LP relaxation.
-
-    The synthesis cases warm-start to the optimum and close at the root
-    (``nodes: 1`` in the snapshot), so they cannot exercise the round
-    loop; these instances open real trees of a few hundred nodes.
-    """
-    rng = random.Random(seed)
-    m = Model(f"mkp{seed}_{n}")
-    xs = [m.add_binary(f"x{i}") for i in range(n)]
-    for _ in range(rows):
-        w = [rng.randint(3, 30) for _ in range(n)]
-        m.add_constr(quicksum(wi * x for wi, x in zip(w, xs))
-                     <= int(tightness * sum(w)))
-    m.set_objective(
-        quicksum(rng.randint(5, 40) * x for x in xs), "max")
-    return m
-
-
-def _parallel_speedup_record() -> Dict[str, object]:
-    """1->N worker speedup curve for the ``parallel_bb`` backend.
-
-    ``phases`` stays empty on purpose: wall-clock here scales with the
-    runner's core count, so the 3x phase-ratio guard must never compare
-    it across machines. The only gate is the conditional test below.
-    The per-worker-count node totals double as a determinism proof in
-    the committed artifact — they must be identical down the column.
-    """
-    global _SPEEDUP_RECORD
-    # Chosen to open trees of several hundred nodes each (649 and 367
-    # at the time of writing) so the round phase dominates the serial
-    # root expansion — small trees would only measure Amdahl's law.
-    instances = [(3, 30, 5, 0.45), (9, 30, 5, 0.44)]
-    walls: Dict[int, float] = {}
-    counters: Dict[str, object] = {"cpu_count": os.cpu_count() or 1}
-    for workers in SPEEDUP_WORKER_COUNTS:
-        best_wall = float("inf")
-        nodes = lp_calls = 0
-        for _ in range(SPEEDUP_REPEATS):
-            nodes = lp_calls = 0
-            start = time.perf_counter()
-            for seed, n, rows, tight in instances:
-                sol = _mkp_model(seed, n, rows, tight).solve(
-                    backend=f"parallel_bb:{workers}")
-                assert sol.status.value == "optimal"
-                nodes += sol.counters["nodes"]
-                lp_calls += sol.counters["lp_calls"]
-            best_wall = min(best_wall, time.perf_counter() - start)
-        walls[workers] = best_wall
-        counters[f"wall_{workers}w_s"] = round(best_wall, 6)
-        counters[f"nodes_{workers}w"] = nodes
-        counters[f"lp_calls_{workers}w"] = lp_calls
-    for workers in SPEEDUP_WORKER_COUNTS[1:]:
-        counters[f"speedup_{workers}w"] = round(
-            walls[1] / walls[workers], 3)
-    _SPEEDUP_RECORD = {
-        "name": "parallel_speedup",
-        "phases": {},
-        "total_s": 0,
-        "counters": counters,
-    }
-    return _SPEEDUP_RECORD
-
-
 #: Seeds of the cold-vs-warm store sweep (8-pin, 3-flow cases that
 #: solve in a few hundred ms each — big enough that the warm pass's
 #: re-verification cost is negligible against the cold solve).
@@ -272,7 +194,6 @@ def collect_records() -> List[Dict[str, object]]:
                           lambda: generate_case(seed=42, switch_size=8, n_flows=3)),
         _presolve_micro_record(),
         _compile_cache_record(),
-        _parallel_speedup_record(),
         _store_warm_record(),
     ]
 
@@ -314,46 +235,13 @@ def test_phase_timings_regression():
     assert not problems, "phase regressions vs BENCH_opt.json: " + "; ".join(problems)
 
 
-def test_parallel_worker_speedup():
-    """Determinism always; the >=2x speedup floor only on real cores.
-
-    The curve reuses the record collected by the phase-timing test when
-    that ran first (one measurement per session); under ``-k speedup``
-    it measures fresh. Single- and dual-core runners (including the
-    local dev container) cannot exhibit a 4-worker speedup, so the
-    floor applies only when the machine has at least 4 CPUs — matching
-    the standard GitHub-hosted runner.
-    """
-    record = _SPEEDUP_RECORD
-    if record is None:
-        record = _parallel_speedup_record()
-        # Measured standalone (the phase-timing test did not run), so
-        # fold the fresh curve into the snapshot ourselves — CI uploads
-        # BENCH_opt.json as the speedup artifact.
-        previous = load_bench_json(BENCH_PATH) or {"records": []}
-        records = [r for r in previous["records"]
-                   if r.get("name") != record["name"]] + [record]
-        emit_bench_json(BENCH_PATH, records, meta=previous.get("meta"))
-    counters = record["counters"]
-    assert counters["nodes_1w"] == counters["nodes_2w"] == counters["nodes_4w"]
-    assert (counters["lp_calls_1w"] == counters["lp_calls_2w"]
-            == counters["lp_calls_4w"])
-    cpus = os.cpu_count() or 1
-    if cpus < 4:
-        pytest.skip(f"speedup floor needs >=4 cores (machine has {cpus})")
-    assert counters["speedup_4w"] >= SPEEDUP_FLOOR, (
-        f"4-worker speedup {counters['speedup_4w']}x below the "
-        f"{SPEEDUP_FLOOR}x floor (walls: "
-        f"{counters['wall_1w_s']}s -> {counters['wall_4w_s']}s)")
-
-
 def test_store_warm_speedup():
     """Warm store sweep: all hits, identical results, >=5x faster.
 
-    Unlike the worker-speedup floor this gate is unconditional — a
-    disk read plus re-verification beating a cold MILP solve by 5x
-    does not depend on core count, and the margin measured on a
-    single-core container is two orders of magnitude.
+    The gate is unconditional: a disk read plus re-verification
+    beating a cold MILP solve by 5x does not depend on core count, and
+    the margin measured on a single-core container is two orders of
+    magnitude.
     """
     record = _STORE_WARM_RECORD
     if record is None:

@@ -143,15 +143,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         from repro.obs import Tracer
 
         tracer = Tracer(spec.name)
-    backend = args.backend
-    if getattr(args, "workers", None):
-        if backend != "parallel_bb":
-            print("error: --workers only applies to --backend parallel_bb",
-                  file=sys.stderr)
-            return 2
-        backend = f"parallel_bb:{args.workers}"
     options = SynthesisOptions(
-        backend=backend,
+        backend=args.backend,
         time_limit=args.time_limit,
         pressure_method=args.pressure,
         on_error=args.on_error,
@@ -209,15 +202,8 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
     spec = _resolve_spec(args.case, args.policy)
     faults = parse_faults(args.faults)
-    backend = args.backend
-    if getattr(args, "workers", None):
-        if backend != "parallel_bb":
-            print("error: --workers only applies to --backend parallel_bb",
-                  file=sys.stderr)
-            return 2
-        backend = f"parallel_bb:{args.workers}"
     options = SynthesisOptions(
-        backend=backend,
+        backend=args.backend,
         time_limit=args.time_limit,
         on_error=args.on_error,
         store=_cli_store(args),
@@ -725,11 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=[b.value for b in BindingPolicy],
                    help="binding policy (registry cases)")
     p.add_argument("--backend", default="auto",
-                   choices=["auto", "highs", "branch_bound", "parallel_bb",
-                            "backtrack", "portfolio"])
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for --backend parallel_bb "
-                        "(default: CPU count, capped at 4)")
+                   choices=["auto", "highs", "branch_bound", "backtrack",
+                            "portfolio"])
     p.add_argument("--time-limit", type=float, default=120.0)
     p.add_argument("--pressure", default="ilp", choices=["ilp", "greedy"])
     p.add_argument("--on-error", default="degrade",
@@ -772,10 +755,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "@step delays the onset mid-campaign)")
     p.add_argument("--policy", choices=[b.value for b in BindingPolicy])
     p.add_argument("--backend", default="auto",
-                   choices=["auto", "highs", "branch_bound", "parallel_bb",
-                            "backtrack", "portfolio"])
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for --backend parallel_bb")
+                   choices=["auto", "highs", "branch_bound", "backtrack",
+                            "portfolio"])
     p.add_argument("--time-limit", type=float, default=120.0)
     p.add_argument("--on-error", default="degrade",
                    choices=["raise", "capture", "degrade"])

@@ -61,9 +61,8 @@ from repro.switches.reduce import reduce_switch
 
 #: Backends that can exploit a warm-start incumbent. HiGHS (scipy's
 #: milp) has no incumbent-injection hook, so computing one for it would
-#: be wasted work. Checked against the *base* name, so worker-count
-#: specs like ``"parallel_bb:4"`` qualify too.
-_WARM_BACKENDS = {"branch_bound", "parallel_bb", "portfolio", "backtrack"}
+#: be wasted work.
+_WARM_BACKENDS = {"branch_bound", "portfolio", "backtrack"}
 
 #: Valid values of :attr:`SynthesisOptions.on_error`.
 ERROR_POLICIES = ("raise", "capture", "degrade")
@@ -293,9 +292,9 @@ def _run_pipeline(spec: SwitchSpec, options: SynthesisOptions,
 
     ``store`` (None when caching is disabled) is installed as the
     ambient store for the duration, so Tier-B consumers deeper in the
-    stack — path enumeration, the parallel solver's pseudo-cost
-    snapshots — see the same cache this run was configured with (and,
-    with ``cache=False``, see none even if one is ambient).
+    stack (path enumeration's catalog snapshots) see the same cache this
+    run was configured with (and, with ``cache=False``, see none even if
+    one is ambient).
     """
     from repro.store import use_store
 
@@ -394,8 +393,7 @@ def _pipeline(spec: SwitchSpec, options: SynthesisOptions,
     memo_hit = (built.model._version, options.backend,
                 float(options.mip_gap)) in built.model._solutions
     if not memo_hit and not deadline.expired() \
-            and resolve_backend_name(options.backend).partition(":")[0] \
-            in _WARM_BACKENDS:
+            and resolve_backend_name(options.backend) in _WARM_BACKENDS:
         if context is not None:
             stored = context.incumbent(key)
             if stored is not None:

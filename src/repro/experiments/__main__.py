@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import sys
 
 from repro.experiments.runners import RUNNERS
 
@@ -17,20 +16,11 @@ def main(argv=None) -> int:
     parser.add_argument("--time-limit", type=float, default=60.0,
                         help="seconds per solver call where applicable")
     parser.add_argument("--backend", default=None,
-                        help="solver backend spec for every synthesis call "
-                             "(e.g. portfolio, parallel_bb, parallel_bb:4)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for the parallel_bb backend "
-                             "(shorthand for --backend parallel_bb:N)")
+                        help="solver backend for every synthesis call "
+                             "(e.g. highs, branch_bound, portfolio)")
     parser.add_argument("-o", "--outdir", default="experiment_output",
                         help="directory for reports and SVG artifacts")
     args = parser.parse_args(argv)
-
-    backend = args.backend
-    if args.workers:
-        if backend not in (None, "parallel_bb"):
-            parser.error("--workers only applies to --backend parallel_bb")
-        backend = f"parallel_bb:{args.workers}"
 
     names = sorted(RUNNERS) if args.experiment == "all" else [args.experiment]
     for name in names:
@@ -38,8 +28,8 @@ def main(argv=None) -> int:
         kwargs = {"outdir": args.outdir}
         if "time_limit" in runner.__code__.co_varnames:
             kwargs["time_limit"] = args.time_limit
-        if backend and "backend" in runner.__code__.co_varnames:
-            kwargs["backend"] = backend
+        if args.backend and "backend" in runner.__code__.co_varnames:
+            kwargs["backend"] = args.backend
         report = runner(**kwargs)
         print(report.render())
         print()

@@ -43,8 +43,6 @@ def _options(time_limit: float,
              backend: Optional[str] = None) -> SynthesisOptions:
     opts = SynthesisOptions(time_limit=time_limit)
     if backend:
-        # Free-form spec: plain names and worker-count forms such as
-        # "parallel_bb:4" both resolve through the backend registry.
         opts.backend = backend
     return opts
 
@@ -177,8 +175,7 @@ def run_artificial(count: int = 18, time_limit: float = 20,
     """§4.2 — the artificial scheduling suite (subset by default).
 
     The cases are independent, so ``workers > 1`` fans them out over a
-    process pool; rows keep the input order either way. ``backend`` can
-    alternatively parallelize *within* each solve (``"parallel_bb:4"``).
+    process pool; rows keep the input order either way.
     """
     report = ExperimentReport("artificial", "§4.2 — artificial cases")
     specs = suite_90()

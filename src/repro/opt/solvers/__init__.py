@@ -1,14 +1,10 @@
 """Solver backend registry.
 
-Four exact backends are provided:
+Three exact backends are provided:
 
 * ``"highs"`` — scipy's HiGHS MILP interface (default when available);
 * ``"branch_bound"`` — our own best-first branch-and-bound over scipy
   LP relaxations;
-* ``"parallel_bb"`` — the same search decomposed over N worker
-  processes with warm per-worker LPs and deterministic round-based
-  coordination (see :mod:`repro.opt.parallel`); the spec form
-  ``"parallel_bb:N"`` pins the worker count;
 * ``"backtrack"`` — a pure-Python exhaustive CP search for small
   all-integer models (numerics-free oracle).
 
@@ -20,7 +16,7 @@ the first conclusive result (see :mod:`repro.opt.solvers.portfolio`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict
 
 from repro.errors import SolverError
 from repro.opt.solvers.backtrack import BacktrackBackend
@@ -28,8 +24,7 @@ from repro.opt.solvers.base import SolverBackend, merge_counters
 from repro.opt.solvers.branch_bound import BranchBoundBackend
 
 #: Built-in backend names (plus the "auto" alias) — not overridable.
-BUILTIN_BACKENDS = ("highs", "branch_bound", "parallel_bb", "backtrack",
-                    "portfolio")
+BUILTIN_BACKENDS = ("highs", "branch_bound", "backtrack", "portfolio")
 
 #: User-registered backend factories (see :func:`register_backend`).
 _CUSTOM_BACKENDS: Dict[str, Callable[[], SolverBackend]] = {}
@@ -50,27 +45,6 @@ def resolve_backend_name(name: str = "auto") -> str:
     return name
 
 
-def parse_backend_spec(name: str) -> Tuple[str, Optional[int]]:
-    """Split a ``"backend:N"`` worker-count spec into its parts.
-
-    ``"parallel_bb:4"`` → ``("parallel_bb", 4)``; a name without a
-    suffix comes back as ``(name, None)``. Raises for a non-integer or
-    non-positive worker count.
-    """
-    base, sep, suffix = name.partition(":")
-    if not sep:
-        return name, None
-    try:
-        workers = int(suffix)
-    except ValueError:
-        raise SolverError(
-            f"bad backend spec {name!r}: worker count must be an integer")
-    if workers < 1:
-        raise SolverError(
-            f"bad backend spec {name!r}: worker count must be >= 1")
-    return base, workers
-
-
 def register_backend(name: str, factory: Callable[[], SolverBackend],
                      replace: bool = False) -> None:
     """Register a custom backend factory under ``name``.
@@ -83,8 +57,7 @@ def register_backend(name: str, factory: Callable[[], SolverBackend],
     harness (:mod:`repro.testing.faultinject`), which wraps a real
     backend in a crash/timeout/corruption layer.
     """
-    if name == "auto" or name in BUILTIN_BACKENDS \
-            or name.partition(":")[0] in BUILTIN_BACKENDS:
+    if name == "auto" or name in BUILTIN_BACKENDS:
         raise SolverError(f"cannot shadow built-in backend {name!r}")
     if name in _CUSTOM_BACKENDS and not replace:
         raise SolverError(
@@ -108,11 +81,6 @@ def get_backend(name: str = "auto") -> SolverBackend:
         return HighsBackend()
     if name == "branch_bound":
         return BranchBoundBackend()
-    base, workers = parse_backend_spec(name)
-    if base == "parallel_bb":
-        from repro.opt.solvers.parallel_bb import ParallelBranchBoundBackend
-
-        return ParallelBranchBoundBackend(workers)
     if name == "backtrack":
         return BacktrackBackend()
     if name == "portfolio":
@@ -127,7 +95,6 @@ def available_backends() -> Dict[str, bool]:
     table = {
         "highs": _highs_available(),
         "branch_bound": True,
-        "parallel_bb": True,
         "backtrack": True,
         "portfolio": True,
     }
@@ -136,6 +103,6 @@ def available_backends() -> Dict[str, bool]:
 
 
 __all__ = ["get_backend", "register_backend", "unregister_backend",
-           "resolve_backend_name", "parse_backend_spec",
-           "available_backends", "BUILTIN_BACKENDS", "SolverBackend",
-           "BranchBoundBackend", "BacktrackBackend", "merge_counters"]
+           "resolve_backend_name", "available_backends", "BUILTIN_BACKENDS",
+           "SolverBackend", "BranchBoundBackend", "BacktrackBackend",
+           "merge_counters"]

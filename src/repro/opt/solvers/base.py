@@ -35,18 +35,15 @@ class SolverBackend:
 def merge_counters(*counter_dicts: Mapping[str, object]) -> Dict[str, object]:
     """Sum solver counters from several search loops into one dict.
 
-    Numeric values add; everything else (strings, and identity-like
-    values whose key ends in ``_hash``) keeps the first occurrence. This
-    is the aggregation rule shared by the multi-worker backends (one
-    counter dict per worker/round) and the portfolio's cross-member
-    roll-up — historically each assumed a single solver loop and simply
-    overwrote.
+    Numeric values add; everything else (strings, booleans) keeps the
+    first occurrence. This is the aggregation rule of the portfolio's
+    cross-member roll-up, so a race reports the search effort of every
+    member instead of only the winner's.
     """
     merged: Dict[str, object] = {}
     for counters in counter_dicts:
         for key, value in counters.items():
-            if (key.endswith("_hash") or isinstance(value, bool)
-                    or not isinstance(value, (int, float))):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 merged.setdefault(key, value)
             else:
                 merged[key] = merged.get(key, 0) + value  # type: ignore

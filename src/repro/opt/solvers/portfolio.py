@@ -20,11 +20,8 @@ cheap :class:`threading.Event` instead of process kill. On a single
 core the race still helps whenever one member finishes quickly — the
 loser is cancelled after at most one further LP relaxation.
 
-``parallel_bb`` (optionally as a ``"parallel_bb:N"`` worker spec) can
-race too: it gets the same cancellation event, which it checks at every
-round boundary, and its worker pool is torn down when it loses. Search
-effort spent by *every* member that finished is rolled up into the
-winner's ``race_*`` counters via
+Search effort spent by *every* member that finished is rolled up into
+the winner's ``race_*`` counters via
 :func:`repro.opt.solvers.base.merge_counters`, so multi-loop solves no
 longer under-report their cost.
 """
@@ -86,14 +83,6 @@ class PortfolioBackend(SolverBackend):
             from repro.opt.solvers.branch_bound import BranchBoundBackend
 
             return BranchBoundBackend(cancel_event=cancel)
-        if member == "parallel_bb" or member.startswith("parallel_bb:"):
-            from repro.opt.solvers import parse_backend_spec
-            from repro.opt.solvers.parallel_bb import (
-                ParallelBranchBoundBackend,
-            )
-
-            _, workers = parse_backend_spec(member)
-            return ParallelBranchBoundBackend(workers, cancel_event=cancel)
         from repro.opt.solvers import get_backend
 
         return get_backend(member)

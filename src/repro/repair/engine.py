@@ -20,8 +20,8 @@ and a set of newly observed valve faults, :func:`repair`:
 The repair contract is deterministic: every input of the re-solve
 (masked catalog, seed incumbent, solver schedule) is a pure function of
 the prior result and the canonical fault set, so a fixed fault plan
-yields an identical repaired routing for any ``parallel_bb`` worker
-count and across service restarts.
+yields an identical repaired routing on every run and across service
+restarts.
 """
 
 from __future__ import annotations

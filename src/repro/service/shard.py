@@ -65,7 +65,6 @@ as ``fork`` (``REPRO_SERVICE_CTX=fork`` for faster starts where safe).
 from __future__ import annotations
 
 import contextlib
-import multiprocessing as mp
 import os
 import queue
 import signal
@@ -183,16 +182,6 @@ def shard_main(config: ShardConfig, conn, events) -> None:
     # crash-and-replay instead of a graceful drain.
     with contextlib.suppress(ValueError, OSError):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    # The coordinator starts shards daemonic so an abandoned platform
-    # can't outlive its parent — but daemonic processes are forbidden
-    # from having children, which would silently knock out every
-    # multi-process solver backend (parallel_bb's worker pool would
-    # fail to start and degrade to in-process). Clearing the inherited
-    # flag restores spawning; grandchildren still can't leak, because
-    # B&B workers exit on pipe EOF when their shard dies.
-    with contextlib.suppress(Exception):
-        mp.current_process()._config["daemon"] = False
 
     tracer = None
     shipper = None

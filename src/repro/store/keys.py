@@ -33,15 +33,16 @@ from typing import Any
 from repro.obs.manifest import case_fingerprint, config_fingerprint
 
 #: Bump to invalidate every existing store entry (see module docstring).
-CACHE_EPOCH = 1
+#: Epoch 2: masked switches no longer break rotational symmetry, so
+#: earlier masked-switch optima may be suboptimal.
+CACHE_EPOCH = 2
 
 #: Entry kinds with a defined payload shape (open vocabulary, like
 #: obs event names — producers may add more).
 KNOWN_KINDS = (
-    "result",       # Tier A: a complete verified SynthesisResult
-    "catalog",      # Tier B: an enumerated path catalog
-    "incumbent",    # Tier B: an optimal assignment (name -> value)
-    "pseudocosts",  # Tier B: branching statistics arrays
+    "result",     # Tier A: a complete verified SynthesisResult
+    "catalog",    # Tier B: an enumerated path catalog
+    "incumbent",  # Tier B: an optimal assignment (name -> value)
 )
 
 

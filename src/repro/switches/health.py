@@ -151,8 +151,8 @@ def apply_health_mask(switch: SwitchModel, mask: HealthMask) -> SwitchModel:
     the original but gets pruned ``segments``/``valves`` tables, a
     pruned graph, a fresh ``structure_key`` (fewer segments → different
     key, so every path-catalog and model cache automatically treats the
-    degraded switch as a distinct structure) and ``switch.health`` set
-    to the mask.
+    degraded switch as a distinct structure), ``rotation_order`` reset
+    to 1 and ``switch.health`` set to the mask.
 
     Unlike construction-time :meth:`SwitchModel._finalize`, the masked
     copy may be disconnected and may strand pins at degree 0 — use
@@ -183,6 +183,10 @@ def apply_health_mask(switch: SwitchModel, mask: HealthMask) -> SwitchModel:
         if clone.graph.has_edge(a, b):
             clone.graph.remove_edge(a, b)
     clone._structure_key = None
+    # Cutting segments breaks the rotational automorphism that
+    # ``rot_symmetry`` relies on; keeping it could pin the first module
+    # to an arc the faults have cut off.
+    clone.rotation_order = 1
     clone.health = mask
     clone._unmasked = source
     return clone

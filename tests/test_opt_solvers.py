@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelError, SolverError
 from repro.opt import Model, SolveStatus, VarType, quicksum
-from repro.opt.solvers import available_backends, get_backend
+from repro.opt.solvers import available_backends, get_backend, merge_counters
 from repro.opt.solvers.highs import HighsBackend
 
 BACKENDS = ["highs", "branch_bound", "backtrack"]
@@ -70,6 +70,17 @@ def test_backend_registry():
     assert avail["branch_bound"] and avail["backtrack"]
     with pytest.raises(SolverError):
         get_backend("does-not-exist")
+
+
+def test_merge_counters_sums_numeric_keeps_identity():
+    merged = merge_counters(
+        {"nodes": 3, "lp_calls": 5, "solver": "a", "seeded": True},
+        {"nodes": 4, "lp_calls": 7, "solver": "b", "seeded": False},
+    )
+    assert merged["nodes"] == 7
+    assert merged["lp_calls"] == 12
+    assert merged["solver"] == "a"  # identity, not a sum
+    assert merged["seeded"] is True
 
 
 def test_auto_backend_resolves():

